@@ -15,10 +15,12 @@
 # passes, the zero-alloc guarantees for the disabled-tracer,
 # disabled-checker, and detached stage-profiler hot paths plus the
 # steady-state large-DAG and 8-tenant steps themselves, an
-# attached-profiler overhead-ratio guard, and an engine-step benchmark
-# snapshot written to BENCH_step.json. The flow-stage differential battery
-# (TestFlowParallelByteIdentical) and the parallel-flow race stress test
-# ride the `go test -race ./...` pass above. Run from the repo root.
+# attached-profiler overhead-ratio guard, and a fresh engine-step benchmark
+# snapshot printed next to the committed BENCH_step.json (the tracked file is
+# never overwritten). The serial flow-stage golden digests
+# (TestFlowGoldenDigests) and the pre-refactor restore golden
+# (TestPrerefactorGoldenRestore) ride the `go test -race ./...` pass above.
+# Run from the repo root.
 set -eu
 
 fmt=$(gofmt -l .)
@@ -167,9 +169,11 @@ echo "$bench" | awk '
     }'
 
 # Benchmark snapshot: run the engine-step benchmark suite with -benchmem and
-# record ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
-# regressions show up in review diffs. The numbers are machine-dependent;
-# the file is a tracked observation, not a gate.
+# record ns/op, B/op, allocs/op per benchmark in the same format as the
+# committed BENCH_step.json, then print both so perf regressions can be read
+# side by side. The numbers are machine-dependent; the snapshot is an
+# observation, not a gate, and the tracked file is only replaced by hand.
+snap=$(mktemp)
 go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -benchmem |
     awk 'BEGIN { print "[" }
         /^Benchmark/ {
@@ -177,5 +181,9 @@ go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -b
             if (n++) printf ",\n"
             printf "  {\"name\": \"%s\", \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s}", name, $3, $5, $7
         }
-        END { print "\n]" }' > BENCH_step.json
+        END { print "\n]" }' > "$snap"
+echo "committed BENCH_step.json:"
 cat BENCH_step.json
+echo "this run ($snap):"
+cat "$snap"
+rm -f "$snap"

@@ -45,10 +45,6 @@ type Scenario struct {
 	// keeps the canonical JSON of scenarios that do not use it unchanged, so
 	// existing sweep-journal cache keys stay valid.
 	Check *CheckSpec `json:"check,omitempty"`
-	// FlowWorkers shards the engine's flow stage across a worker pool
-	// (sim.Config.FlowWorkers). 0 — and hence the canonical JSON of existing
-	// scenarios — runs it serially; any value produces byte-identical output.
-	FlowWorkers int `json:"flowWorkers,omitempty"`
 	// Tenants declares a multi-tenant run: N dataflows, each with its own
 	// graph, rate, Ω floor and priority, sharing one fleet under a fairness
 	// arbiter (see tenants.go). Mutually exclusive with the top-level graph
@@ -349,7 +345,6 @@ func (sc *Scenario) Build() (*Built, error) {
 		Audit:         sc.Audit,
 		OmegaFloor:    obj.OmegaHat,
 		Checker:       checker,
-		FlowWorkers:   sc.FlowWorkers,
 	}
 	engine, err := sim.NewEngine(cfg)
 	if err != nil {

@@ -254,33 +254,13 @@ func (e *Engine) stageRehome(c *stepContext) error {
 // capacity, backlog drain, queueing-latency accumulation, and delivery to
 // successors capped by pairwise bandwidth — then derives Omega (Def. 4).
 //
-// Each PE's computation (processPE) is independent of its level peers: it
-// pulls arrivals from predecessor output finalized in earlier levels rather
-// than pushing to successors, so with FlowWorkers > 0 the PEs of one
-// topological level shard across the pool, level by level. The
-// order-sensitive float folds (latency, backlog, Omega) run serially
-// afterwards in topological order, making parallel runs byte-identical to
-// serial ones. Mutates: arena queues/shares, invState.In/Processed.
+// One serial pass in topological order: each PE pulls its arrivals from
+// predecessor output computed earlier in the same pass, and folds its own
+// latency terms and backlog into the step totals as it goes. Mutates: arena
+// queues/shares, invState.In/Processed.
 func (e *Engine) stageFlow(c *stepContext) error {
-	if e.flowPool != nil {
-		for _, level := range e.levels {
-			e.flowPool.run(c, level)
-		}
-	} else {
-		for _, pe := range e.topoOrder {
-			e.processPE(c, pe)
-		}
-	}
-
 	for _, pe := range e.topoOrder {
-		p := &e.pes[pe]
-		for _, t := range p.latTerms {
-			c.latencyAccum += t
-		}
-		c.latencyN += len(p.latTerms)
-		for s := range p.queue {
-			c.totalBacklog += p.queue[s]
-		}
+		e.processPE(c, pe)
 	}
 
 	// Relative application throughput (Def. 4): mean over output PEs of
@@ -325,9 +305,10 @@ func (e *Engine) stageFlow(c *stepContext) error {
 // processPE runs one PE's slice of the flow stage: gather this interval's
 // arrivals (external feed, then each active predecessor's delivery — the
 // same accumulation sequence the push-based engine produced), process
-// per-VM bounded by capacity, drain backlog, and publish the output split
-// for successors. Writes only this PE's arena row and per-PE cells of the
-// context, so level peers can run it concurrently.
+// per-VM bounded by capacity, drain backlog, add the queueing-latency terms
+// and the PE's remaining backlog to the step totals, and publish the output
+// split for successors. Within the flow stage a PE's queues are written only
+// here, so its backlog is final once it has run.
 func (e *Engine) processPE(c *stepContext, pe int) {
 	g := e.cfg.Graph
 	p := &e.pes[pe]
@@ -403,7 +384,6 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 	// capacity; then backlog on VMs with no arrivals this interval.
 	processed := 0.0
 	arrivalTotal := 0.0
-	p.latTerms = p.latTerms[:0]
 	for s := 0; s < nslots; s++ {
 		if !p.hasArr[s] {
 			continue
@@ -424,7 +404,8 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 		p.hasQ[s] = true
 		processed += pr
 		if vcap > 0 {
-			p.latTerms = append(p.latTerms, newQ/vcap)
+			c.latencyAccum += newQ / vcap
+			c.latencyN++
 		}
 	}
 	for s := 0; s < nslots; s++ {
@@ -444,8 +425,12 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 		p.queue[s] = newQ
 		processed += pr
 		if vcap > 0 {
-			p.latTerms = append(p.latTerms, newQ/vcap)
+			c.latencyAccum += newQ / vcap
+			c.latencyN++
 		}
+	}
+	for s := 0; s < nslots; s++ {
+		c.totalBacklog += p.queue[s]
 	}
 	c.observedIn[pe] = arrivalTotal
 	out := processed * alt.Selectivity
