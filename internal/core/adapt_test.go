@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dynamicdf/internal/cloud"
@@ -205,4 +207,70 @@ func TestConsolidateMergesLightVMs(t *testing.T) {
 	if v.AssignedCores(0) != 1 || v.AssignedCores(1) != 1 {
 		t.Fatalf("cores lost: %d / %d", v.AssignedCores(0), v.AssignedCores(1))
 	}
+}
+
+// TestConsolidateSpotGuard pins the spot guard: on-demand cores never move
+// onto a preemptible VM, even when it is the only destination with room,
+// while spot cores may move onto on-demand capacity.
+func TestConsolidateSpotGuard(t *testing.T) {
+	h := MustHeuristic(Options{Strategy: Global, Dynamic: false, Adaptive: true,
+		Objective: Objective{OmegaHat: 0.7, Epsilon: 0.05, Sigma: 0.01}})
+	newEngine := func(t *testing.T) (*sim.Engine, *recordingControl) {
+		prof, _ := rates.NewConstant(2)
+		e, err := sim.NewEngine(sim.Config{
+			Graph:      alternateBandGraph(),
+			Menu:       spotMenu(),
+			Inputs:     map[int]rates.Profile{0: prof},
+			HorizonSec: 3600,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, &recordingControl{Control: sim.NewActions(e)}
+	}
+	mustAcquire := func(t *testing.T, act sim.Control, class string, pe, cores int) int {
+		id, err := act.AcquireVM(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cores > 0 {
+			if err := act.AssignCores(pe, id, cores); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return id
+	}
+
+	t.Run("on-demand victim stays off spot", func(t *testing.T) {
+		e, act := newEngine(t)
+		od := mustAcquire(t, act, "m1.xlarge", 0, 1)
+		mustAcquire(t, act, "m1.xlarge-spot", 0, 0)
+		act.calls = nil
+		if err := h.consolidate(sim.NewView(e), act); err != nil {
+			t.Fatal(err)
+		}
+		if len(act.calls) != 0 {
+			t.Fatalf("on-demand cores moved onto a preemptible VM: %q", act.calls)
+		}
+		if vm, _ := sim.NewView(e).VM(od); vm.UsedCores != 1 {
+			t.Fatalf("on-demand victim holds %d cores, want 1", vm.UsedCores)
+		}
+	})
+
+	t.Run("spot victim moves onto on-demand", func(t *testing.T) {
+		e, act := newEngine(t)
+		od := mustAcquire(t, act, "m1.xlarge", 0, 2)
+		spot := mustAcquire(t, act, "m1.xlarge-spot", 1, 1)
+		act.calls = nil
+		if err := h.consolidate(sim.NewView(e), act); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{
+			fmt.Sprintf("assign-cores pe=1 vm=%d n=1", od),
+			fmt.Sprintf("unassign-cores pe=1 vm=%d n=1", spot),
+		}
+		if !reflect.DeepEqual(act.calls, want) {
+			t.Fatalf("calls = %q, want %q", act.calls, want)
+		}
+	})
 }
