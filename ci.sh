@@ -16,8 +16,9 @@
 # disabled-checker, and detached stage-profiler hot paths plus the
 # steady-state large-DAG and 8-tenant steps themselves, an
 # attached-profiler overhead-ratio guard, and a fresh engine-step benchmark
-# snapshot printed next to the committed BENCH_step.json (the tracked file is
-# never overwritten). The serial flow-stage golden digests
+# snapshot printed next to the committed BENCH_step.json, and a fresh
+# scheduler-layer snapshot printed next to the committed BENCH_adapt.json (the
+# tracked files are never overwritten). The serial flow-stage golden digests
 # (TestFlowGoldenDigests) and the pre-refactor restore golden
 # (TestPrerefactorGoldenRestore) ride the `go test -race ./...` pass above.
 # Run from the repo root.
@@ -184,6 +185,29 @@ go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -b
         END { print "\n]" }' > "$snap"
 echo "committed BENCH_step.json:"
 cat BENCH_step.json
+echo "this run ($snap):"
+cat "$snap"
+rm -f "$snap"
+
+# Scheduler-layer snapshot: one global-heuristic Adapt call on a warmed
+# engine at 100 and 500 PEs, in the format of the committed BENCH_adapt.json
+# (Go version and GOMAXPROCS included), printed next to it. Reporting only:
+# no gate, and the tracked file is only replaced by hand.
+snap=$(mktemp)
+go test ./internal/core -run '^$' -bench 'BenchmarkAdaptGlobal' -benchtime 20x -benchmem |
+    awk -v gover="$(go env GOVERSION)" '
+        /^Benchmark/ {
+            name = $1; procs = name; sub(/-[0-9]+$/, "", name); sub(/.*-/, "", procs)
+            for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
+            rows[n++] = sprintf("    {\"name\": \"%s\", \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s, \"vms\": %s}", name, v["ns/op"], v["B/op"], v["allocs/op"], v["vms"])
+        }
+        END {
+            printf "{\n  \"goVersion\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"benchmarks\": [\n", gover, procs
+            for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i < n - 1 ? "," : "")
+            print "  ]\n}"
+        }' > "$snap"
+echo "committed BENCH_adapt.json:"
+cat BENCH_adapt.json
 echo "this run ($snap):"
 cat "$snap"
 rm -f "$snap"

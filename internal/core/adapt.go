@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
-	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/sim"
 )
@@ -32,7 +33,7 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 		return err
 	}
 	target := h.targetOmega(v.MeanOmega())
-	eff := effectiveECU(v)
+	eff := h.effectiveECU(v)
 
 	required := make([]float64, g.N())
 	for pe := range required {
@@ -154,19 +155,23 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 // (0 when the fleet cap blocks). A non-nil dec is filled with the
 // candidates weighed, their scores, and why the losers lost.
 func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU float64, spill bool, dec *obs.Decision) (float64, error) {
-	hosting := map[int]bool{}
-	for _, a := range v.Assignments(pe) {
-		hosting[a.VMID] = true
-	}
+	// Both lists are in VM id order, so hosting advances in step with the
+	// VM scan.
+	h.asgBuf = v.AssignmentsInto(pe, h.asgBuf[:0])
+	hosting := h.asgBuf
+	h.vmBuf = v.ActiveVMsInto(h.vmBuf[:0])
 	var best sim.VMInfo
 	found := false
 	bestScore := -1.0
-	for _, vm := range v.ActiveVMs() {
+	for _, vm := range h.vmBuf {
 		if vm.FreeCores <= 0 {
 			continue
 		}
+		for len(hosting) > 0 && hosting[0].VMID < vm.ID {
+			hosting = hosting[1:]
+		}
 		score := vm.Class.CoreSpeed * vm.CPUCoeff
-		if hosting[vm.ID] {
+		if len(hosting) > 0 && hosting[0].VMID == vm.ID {
 			score *= 4 // strongly prefer collocating with the PE's instances
 		}
 		if dec != nil {
@@ -287,7 +292,8 @@ func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU flo
 // removable). A non-nil dec is filled with the shed candidates in order
 // and why the skipped ones were kept.
 func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove float64, dec *obs.Decision) (float64, error) {
-	as := v.Assignments(pe)
+	h.asgBuf = v.AssignmentsInto(pe, h.asgBuf[:0])
+	as := h.asgBuf
 	totalCores := 0
 	for _, a := range as {
 		totalCores += a.Cores
@@ -363,81 +369,109 @@ func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove f
 	return 0, nil
 }
 
+// consolidateScratch is consolidate's per-call index, kept on the Heuristic
+// so its buffers are reused from one call to the next. It is not state.
+type consolidateScratch struct {
+	pos    []int     // VM id -> index in the id-ordered VM table
+	chunks [][]chunk // table index -> the VM's chunks, in PE order
+	order  []int     // table indices in victim (utilisation) order
+	free   []int     // table index -> free cores left in the plan
+	moves  []move
+}
+
+// chunk is one PE's cores on one VM.
+type chunk struct{ pe, cores int }
+
+// move is one planned chunk transfer onto VM dst.
+type move struct{ pe, dst, cores int }
+
 // consolidate (global strategy) empties at most one lightly used VM per
 // stage by moving its core chunks into free cores elsewhere, so the idle VM
 // can be released at its hour boundary. Chunk conversion preserves rated
 // capacity: n cores at speed s need ceil(n*s/s') cores at speed s'.
+//
+// Victims are tried least utilised first (stable over VM id). Each chunk
+// goes to the best-fitting destination — the fewest free cores left over,
+// the lowest VM id on a tie — never from an on-demand victim onto a
+// preemptible VM. The VM table, the VM -> chunks index and the victim order
+// are built once per call; only the free-core plan is reset per victim.
 func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
-	vms := v.ActiveVMs()
-	sort.SliceStable(vms, func(i, j int) bool {
+	s := &h.cons
+	h.vmBuf = v.ActiveVMsInto(h.vmBuf[:0])
+	vms := h.vmBuf
+	if len(vms) == 0 {
+		return nil
+	}
+	s.pos = resize(s.pos, vms[len(vms)-1].ID+1)
+	for i, vm := range vms {
+		s.pos[vm.ID] = i
+	}
+	s.chunks = resize(s.chunks, len(vms))
+	for i := range s.chunks {
+		s.chunks[i] = s.chunks[i][:0]
+	}
+	for pe := 0; pe < v.Graph().N(); pe++ {
+		h.asgBuf = v.AssignmentsInto(pe, h.asgBuf[:0])
+		for _, a := range h.asgBuf {
+			i := s.pos[a.VMID]
+			s.chunks[i] = append(s.chunks[i], chunk{pe: pe, cores: a.Cores})
+		}
+	}
+	s.order = resize(s.order, len(vms))
+	for i := range s.order {
+		s.order[i] = i
+	}
+	slices.SortStableFunc(s.order, func(i, j int) int {
 		ui := float64(vms[i].UsedCores) / float64(vms[i].Class.Cores)
 		uj := float64(vms[j].UsedCores) / float64(vms[j].Class.Cores)
-		return ui < uj
+		return cmp.Compare(ui, uj)
 	})
-	g := v.Graph()
-	for _, victim := range vms {
+	s.free = resize(s.free, len(vms))
+	for _, vi := range s.order {
+		victim := &vms[vi]
 		if victim.UsedCores == 0 {
 			continue
 		}
-		// Gather the victim's chunks.
-		type chunk struct{ pe, cores int }
-		var chunks []chunk
-		for pe := 0; pe < g.N(); pe++ {
-			for _, a := range v.Assignments(pe) {
-				if a.VMID == victim.ID {
-					chunks = append(chunks, chunk{pe: pe, cores: a.Cores})
-				}
-			}
+		for i := range vms {
+			s.free[i] = vms[i].FreeCores
 		}
-		// Plan destinations using a free-core snapshot; iterate candidate
-		// VMs in id order so tie-breaking is deterministic.
-		free := map[int]int{}
-		var dstIDs []int
-		for _, vm := range vms {
-			if vm.ID == victim.ID {
-				continue
-			}
-			free[vm.ID] = vm.FreeCores
-			dstIDs = append(dstIDs, vm.ID)
-		}
-		sort.Ints(dstIDs)
-		type move struct{ pe, dst, cores int }
-		var moves []move
+		s.moves = s.moves[:0]
 		ok := true
-		for _, c := range chunks {
+		for _, c := range s.chunks[vi] {
 			ecu := float64(c.cores) * victim.Class.CoreSpeed
-			bestDst, bestNeed := -1, 0
-			for _, dst := range dstIDs {
-				dstClass := classOf(vms, dst)
+			best, bestNeed := -1, 0
+			for d := range vms {
+				dst := vms[d].Class
 				// Never consolidate on-demand capacity onto spot VMs: the
 				// constraint-critical base must survive reclamations.
-				if dstClass.Preemptible && !victim.Class.Preemptible {
+				if d == vi || dst.Preemptible && !victim.Class.Preemptible {
 					continue
 				}
-				f := free[dst]
-				need := coresNeeded(ecu, dstClass)
+				f := s.free[d]
+				need := coresNeeded(ecu, dst)
 				if need == 0 {
 					need = 1
 				}
-				if need <= f && (bestDst < 0 || f-need < free[bestDst]-bestNeed) {
-					bestDst, bestNeed = dst, need
+				if need <= f && (best < 0 || f-need < s.free[best]-bestNeed) {
+					best, bestNeed = d, need
 				}
 			}
-			if bestDst < 0 {
+			if best < 0 {
 				ok = false
 				break
 			}
-			free[bestDst] -= bestNeed
-			moves = append(moves, move{pe: c.pe, dst: bestDst, cores: bestNeed})
+			s.free[best] -= bestNeed
+			s.moves = append(s.moves, move{pe: c.pe, dst: vms[best].ID, cores: bestNeed})
 		}
 		if !ok {
 			continue
 		}
-		for i, m := range moves {
+		for i, m := range s.moves {
 			if err := act.AssignCores(m.pe, m.dst, m.cores); err != nil {
 				return err
 			}
-			if err := act.UnassignCores(chunks[i].pe, victim.ID, chunks[i].cores); err != nil {
+			c := s.chunks[vi][i]
+			if err := act.UnassignCores(c.pe, victim.ID, c.cores); err != nil {
 				return err
 			}
 		}
@@ -446,13 +480,13 @@ func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 	return nil
 }
 
-func classOf(vms []sim.VMInfo, id int) *cloud.Class {
-	for _, vm := range vms {
-		if vm.ID == id {
-			return vm.Class
-		}
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. Elements beyond the old length are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return nil
+	return buf[:n]
 }
 
 // releaseIdle releases empty VMs approaching their paid hour boundary; an
@@ -463,7 +497,8 @@ func (h *Heuristic) releaseIdle(v *sim.View, act sim.Control) error {
 	if window == 0 {
 		window = 2 * v.IntervalSec()
 	}
-	for _, vm := range v.ActiveVMs() {
+	h.vmBuf = v.ActiveVMsInto(h.vmBuf[:0])
+	for _, vm := range h.vmBuf {
 		if vm.UsedCores != 0 {
 			continue
 		}

@@ -58,6 +58,13 @@ type Options struct {
 type Heuristic struct {
 	opts  Options
 	ticks int
+
+	// Scratch buffers reused across calls to keep the resource stage
+	// allocation-lean. They carry nothing from one call to the next, so
+	// they are not state and stay out of the checkpoint.
+	vmBuf  []sim.VMInfo
+	asgBuf []sim.Assignment
+	cons   consolidateScratch
 }
 
 // NewHeuristic validates options, applies defaults, and returns the policy.
@@ -217,11 +224,12 @@ func (h *Heuristic) demandECU(v *sim.View, sel dataflow.Selection) ([]float64, e
 
 // effectiveECU returns each PE's allocated capacity in standard cores,
 // scaled by the monitored per-VM CPU coefficients.
-func effectiveECU(v *sim.View) []float64 {
+func (h *Heuristic) effectiveECU(v *sim.View) []float64 {
 	g := v.Graph()
 	out := make([]float64, g.N())
 	for pe := 0; pe < g.N(); pe++ {
-		for _, a := range v.Assignments(pe) {
+		h.asgBuf = v.AssignmentsInto(pe, h.asgBuf[:0])
+		for _, a := range h.asgBuf {
 			vm, ok := v.VM(a.VMID)
 			if !ok {
 				continue
@@ -251,7 +259,7 @@ func (h *Heuristic) alternateStage(v *sim.View, act sim.Control) error {
 	if err != nil {
 		return err
 	}
-	available := effectiveECU(v)
+	available := h.effectiveECU(v)
 	var downCosts [][]float64
 	if h.opts.Strategy == Global {
 		downCosts, err = dataflow.DownstreamCostsRouted(g, sel, v.Routing())

@@ -94,7 +94,8 @@ func (h *Heuristic) routeFits(v *sim.View, sel dataflow.Selection, trial dataflo
 	for pe := range g.PEs {
 		demand += inRate[pe] * sel.Alt(g, pe).Cost * target
 	}
-	vms := v.ActiveVMs()
+	h.vmBuf = v.ActiveVMsInto(h.vmBuf[:0])
+	vms := h.vmBuf
 	current := 0.0
 	coeffSum := 0.0
 	for _, vm := range vms {

@@ -163,7 +163,7 @@ func (s *Scheduler) maybeDegrade(v *sim.View, act sim.Control) error {
 		return nil
 	}
 	now := v.Now()
-	impaired := len(v.PendingVMs()) > 0 || s.anyBreakerOpen(now)
+	impaired := v.PendingVMCount() > 0 || s.anyBreakerOpen(now)
 	if !impaired || v.Omega() >= s.cfg.DegradeOmega {
 		return nil
 	}

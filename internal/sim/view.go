@@ -122,22 +122,22 @@ type VMInfo struct {
 	StartSec int64
 }
 
-// ActiveVMs lists the running VMs.
-func (v *View) ActiveVMs() []VMInfo {
-	var out []VMInfo
-	for _, vm := range v.e.fleet.Active() {
-		out = append(out, VMInfo{
-			ID:                 vm.ID,
-			Class:              vm.Class,
-			UsedCores:          vm.UsedCores,
-			FreeCores:          vm.FreeCores(),
-			CPUCoeff:           v.e.vmMon.CPUCoeff(vm.ID, 1.0),
-			SecsToHourBoundary: vm.SecondsToHourBoundary(v.e.clock),
-			StartSec:           vm.StartSec,
-		})
+// ActiveVMs lists the running VMs, in id order.
+func (v *View) ActiveVMs() []VMInfo { return v.ActiveVMsInto(nil) }
+
+// ActiveVMsInto appends the running VMs to buf, in id order, and returns it
+// — ActiveVMs for callers reusing a buffer across calls.
+func (v *View) ActiveVMsInto(buf []VMInfo) []VMInfo {
+	for _, vm := range v.e.fleet.All() {
+		if vm.Active() {
+			buf = append(buf, v.vmInfo(vm))
+		}
 	}
-	return out
+	return buf
 }
+
+// ActiveVMCount returns the number of running VMs.
+func (v *View) ActiveVMCount() int { return v.e.fleet.ActiveCount() }
 
 // PendingVM describes one VM still provisioning: acquired (and possibly
 // carrying reserved cores), but not yet schedulable or billable.
@@ -165,12 +165,20 @@ func (v *View) PendingVMs() []PendingVM {
 	return out
 }
 
+// PendingVMCount returns the number of VMs still provisioning.
+func (v *View) PendingVMCount() int { return v.e.fleet.PendingCount() }
+
 // VM returns info for one active VM.
 func (v *View) VM(id int) (VMInfo, bool) {
 	vm, err := v.e.fleet.Get(id)
 	if err != nil || !vm.Active() {
 		return VMInfo{}, false
 	}
+	return v.vmInfo(vm), true
+}
+
+// vmInfo describes a running VM as the scheduler sees it.
+func (v *View) vmInfo(vm *cloud.VM) VMInfo {
 	return VMInfo{
 		ID:                 vm.ID,
 		Class:              vm.Class,
@@ -179,7 +187,7 @@ func (v *View) VM(id int) (VMInfo, bool) {
 		CPUCoeff:           v.e.vmMon.CPUCoeff(vm.ID, 1.0),
 		SecsToHourBoundary: vm.SecondsToHourBoundary(v.e.clock),
 		StartSec:           vm.StartSec,
-	}, true
+	}
 }
 
 // Assignment is one (VM, cores) slice of a PE's data-parallel allocation.
@@ -189,8 +197,12 @@ type Assignment struct {
 }
 
 // Assignments returns the PE's current core allocation, in VM id order.
-func (v *View) Assignments(pe int) []Assignment {
-	var out []Assignment
+func (v *View) Assignments(pe int) []Assignment { return v.AssignmentsInto(pe, nil) }
+
+// AssignmentsInto appends the PE's current core allocation to buf, in VM id
+// order, and returns it — Assignments for callers reusing a buffer across
+// calls.
+func (v *View) AssignmentsInto(pe int, buf []Assignment) []Assignment {
 	p := &v.e.pes[v.gpe(pe)]
 	for s, vmID := range p.vms {
 		n := p.cores[s]
@@ -201,9 +213,9 @@ func (v *View) Assignments(pe int) []Assignment {
 		if err != nil || !vm.Active() {
 			continue
 		}
-		out = append(out, Assignment{VMID: vmID, Cores: n})
+		buf = append(buf, Assignment{VMID: vmID, Cores: n})
 	}
-	return out
+	return buf
 }
 
 // AssignedCores returns the PE's total core count.
